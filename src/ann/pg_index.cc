@@ -640,8 +640,8 @@ uint64_t PGIndex::SearchGroup(GroupSlot* slots, size_t count,
   const auto min_cmp = std::greater<Neighbor>{};
 
   const int32_t entry = to_internal_[navigating_node_];
-  bool live[64];  // count is bounded by the batch group size (<= 8)
-  KPEF_CHECK(count <= 64);
+  bool live[kMaxLockstepGroup];
+  KPEF_CHECK(count <= kMaxLockstepGroup);
   for (size_t s = 0; s < count; ++s) {
     arena.visited[s].Begin(n);
     arena.cand[s].clear();
@@ -703,7 +703,7 @@ uint64_t PGIndex::SearchGroup(GroupSlot* slots, size_t count,
       expand[j] = e;
     }
     // Split into coincidence groups and prefetch every popped node's
-    // adjacency range before any of them is walked — with up to 8 live
+    // adjacency range before any of them is walked — with several live
     // queries the ranges' cache misses overlap instead of serializing.
     auto& groups = arena.groups;
     groups.clear();
@@ -770,7 +770,8 @@ uint64_t PGIndex::SearchGroup(GroupSlot* slots, size_t count,
       const int32_t u = run.node;
       const uint32_t* fresh = run_slots.data() + run.begin;
       const uint32_t nfresh = run.count;
-      float dists[64];  // count <= 64, so a run never exceeds 64 slots
+      // A run holds at most one entry per slot, so count bounds it.
+      float dists[kMaxLockstepGroup];
       // When several queries share the node, the x4 kernel dequantizes
       // u's code row once for up to four of them (bit-identical per
       // slot to single-row calls).
@@ -886,6 +887,15 @@ std::vector<Neighbor> PGIndex::Search(std::span<const float> query,
   return result;
 }
 
+size_t PGIndex::LockstepGroupSize(size_t batch, size_t workers) {
+  // Two groups per worker rather than one: groups finish at different
+  // times, and the spare group lets a worker that finishes early take
+  // more of the batch (measured on perfbench batch_assign, CHANGES.md).
+  const size_t groups = 2 * std::max<size_t>(workers, 1);
+  return std::clamp<size_t>((batch + groups - 1) / groups, 1,
+                            kMaxLockstepGroup);
+}
+
 std::vector<std::vector<Neighbor>> PGIndex::SearchBatch(
     const Matrix& queries, size_t m, size_t ef,
     std::vector<SearchStats>* stats, ThreadPool* pool,
@@ -911,13 +921,14 @@ std::vector<std::vector<Neighbor>> PGIndex::SearchBatch(
   std::vector<size_t> occupancy(batch, 0);
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::Default();
   const bool cancellable = cancel.CanBeCancelled();
-  // Queries run in lockstep groups of kGroup: one task per group, groups
-  // fanned over the pool. Within a group the per-query greedy logic is
-  // byte-identical to the serial path (see SearchGroup), so results do
-  // not depend on the pool size or how the batch splits into groups.
-  // Cancellation is checked once per query as its group forms: a query
-  // either runs to completion or is skipped whole.
-  constexpr size_t kGroup = 64;
+  // Queries run in lockstep groups sized so every pool worker gets two
+  // (LockstepGroupSize): one task per group, groups fanned over the pool.
+  // Within a group the per-query greedy logic is byte-identical to the
+  // serial path (see SearchGroup), so results do not depend on the pool
+  // size or how the batch splits into groups. Cancellation is checked
+  // once per query as its group forms: a query either runs to completion
+  // or is skipped whole.
+  const size_t group_size = LockstepGroupSize(batch, p.num_threads());
   // Destination-aware grouping: a lockstep group only amortizes work
   // (shared adjacency walks, the x4 shared-row kernel, one prefetch per
   // node instead of one per query) for queries that actually traverse
@@ -930,7 +941,7 @@ std::vector<std::vector<Neighbor>> PGIndex::SearchBatch(
   std::vector<uint32_t> order(batch);
   for (size_t q = 0; q < batch; ++q) order[q] = static_cast<uint32_t>(q);
   std::vector<int32_t> highway_scratch;
-  if (batch > kGroup && points_.rows() > 0) {
+  if (batch > group_size && points_.rows() > 0) {
     const auto highways =
         MergedNeighbors(to_internal_[navigating_node_], highway_scratch);
     if (highways.size() > 1) {
@@ -961,13 +972,13 @@ std::vector<std::vector<Neighbor>> PGIndex::SearchBatch(
                        });
     }
   }
-  const size_t num_groups = (batch + kGroup - 1) / kGroup;
+  const size_t num_groups = (batch + group_size - 1) / group_size;
   std::vector<uint64_t> group_interleaved(num_groups, 0);
   ParallelFor(p, num_groups, [&](size_t g) {
-    const size_t begin = g * kGroup;
-    const size_t end = std::min(batch, begin + kGroup);
-    GroupSlot slots[kGroup];
-    size_t slot_q[kGroup];
+    const size_t begin = g * group_size;
+    const size_t end = std::min(batch, begin + group_size);
+    GroupSlot slots[kMaxLockstepGroup];
+    size_t slot_q[kMaxLockstepGroup];
     size_t count = 0;
     for (size_t qi = begin; qi < end; ++qi) {
       const size_t q = order[qi];

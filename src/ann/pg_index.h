@@ -130,7 +130,8 @@ class PGIndex {
 
   /// Searches every row of `queries` (one query per row, same
   /// dimensionality as the indexed points), fanning groups of queries
-  /// across `pool` (nullptr = ThreadPool::Default()). Within a group
+  /// across `pool` (nullptr = ThreadPool::Default()); group size follows
+  /// the batch and the pool width (LockstepGroupSize). Within a group
   /// the greedy searches run in lockstep over shared arenas; results
   /// are identical to calling Search per row for any pool size and any
   /// batch composition. Per-query stats land in `*stats` (resized to
@@ -149,6 +150,15 @@ class PGIndex {
       const Matrix& queries, const SearchParams& params,
       std::vector<SearchStats>* stats = nullptr, ThreadPool* pool = nullptr,
       const CancelToken& cancel = CancelToken()) const;
+
+  /// Upper bound on a lockstep group (SearchGroup's per-slot stack
+  /// arrays are sized for it).
+  static constexpr size_t kMaxLockstepGroup = 64;
+  /// Queries per lockstep group when SearchBatch spreads `batch` queries
+  /// over a pool of `workers` threads: ceil(batch / (2 * workers)), so
+  /// every worker gets two groups, capped at kMaxLockstepGroup (and at
+  /// least 1).
+  static size_t LockstepGroupSize(size_t batch, size_t workers);
 
   int32_t navigating_node() const { return navigating_node_; }
   size_t NumPoints() const { return points_.rows(); }

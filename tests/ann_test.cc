@@ -204,30 +204,75 @@ TEST_F(PGIndexTest, ResultsSortedAndBounded) {
 }
 
 TEST_F(PGIndexTest, SearchBatchMatchesSearch) {
+  // Batch sizes and pool widths that give groups of one, partial last
+  // groups, and groups capped at 64 (130 queries on one worker): the
+  // batched path must equal per-query Search bit for bit, answers and
+  // per-query stats.
   Rng rng(23);
-  const size_t batch = 9;
-  Matrix queries(batch, points_.cols());
-  for (size_t q = 0; q < batch; ++q) {
+  constexpr size_t kBatch = 130;
+  Matrix queries(kBatch, points_.cols());
+  for (size_t q = 0; q < kBatch; ++q) {
     const size_t anchor = rng.Uniform(points_.rows());
     for (size_t k = 0; k < points_.cols(); ++k) {
       queries.At(q, k) =
           points_.At(anchor, k) + static_cast<float>(rng.Normal(0, 0.5));
     }
   }
-  ThreadPool pool(4);
-  std::vector<PGIndex::SearchStats> batch_stats;
-  const auto batched =
-      index_->SearchBatch(queries, 10, 40, &batch_stats, &pool);
-  ASSERT_EQ(batched.size(), batch);
-  ASSERT_EQ(batch_stats.size(), batch);
-  for (size_t q = 0; q < batch; ++q) {
-    PGIndex::SearchStats single_stats;
-    const auto single = index_->Search(queries.Row(q), 10, 40, &single_stats);
-    EXPECT_EQ(batched[q], single) << "query " << q;  // exact, incl. floats
-    EXPECT_EQ(batch_stats[q].distance_computations,
-              single_stats.distance_computations);
-    EXPECT_EQ(batch_stats[q].hops, single_stats.hops);
+  std::vector<std::vector<Neighbor>> single(kBatch);
+  std::vector<PGIndex::SearchStats> single_stats(kBatch);
+  for (size_t q = 0; q < kBatch; ++q) {
+    single[q] = index_->Search(queries.Row(q), 10, 40, &single_stats[q]);
   }
+  for (size_t batch : {1u, 5u, 9u, 64u, 65u, 130u}) {
+    Matrix sub(batch, points_.cols());
+    for (size_t q = 0; q < batch; ++q) {
+      const auto src = queries.Row(q);
+      std::copy(src.begin(), src.end(), sub.Row(q).begin());
+    }
+    for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+      ThreadPool pool(threads);
+      std::vector<PGIndex::SearchStats> batch_stats;
+      const auto batched =
+          index_->SearchBatch(sub, 10, 40, &batch_stats, &pool);
+      ASSERT_EQ(batched.size(), batch);
+      ASSERT_EQ(batch_stats.size(), batch);
+      for (size_t q = 0; q < batch; ++q) {
+        SCOPED_TRACE(testing::Message() << "batch=" << batch
+                                        << " threads=" << threads
+                                        << " q=" << q);
+        EXPECT_EQ(batched[q], single[q]);  // exact, incl. floats
+        EXPECT_EQ(batch_stats[q].distance_computations,
+                  single_stats[q].distance_computations);
+        EXPECT_EQ(batch_stats[q].sq8_distance_computations,
+                  single_stats[q].sq8_distance_computations);
+        EXPECT_EQ(batch_stats[q].hops, single_stats[q].hops);
+      }
+    }
+  }
+}
+
+// The group-size rule is what spreads a batch over the pool: a batch
+// must not run as one task on one worker while the others sit idle.
+TEST(PGIndexLockstepGroupTest, SpreadsBatchOverEveryWorker) {
+  const auto groups = [](size_t batch, size_t workers) {
+    const size_t size = PGIndex::LockstepGroupSize(batch, workers);
+    return (batch + size - 1) / size;
+  };
+  EXPECT_GE(groups(64, 4), 4u);
+  EXPECT_EQ(groups(2, 4), 2u);
+  EXPECT_EQ(groups(1, 4), 1u);
+  for (size_t workers : {1u, 2u, 3u, 4u, 8u, 64u, 1000u}) {
+    const size_t size = PGIndex::LockstepGroupSize(1000, workers);
+    EXPECT_GE(size, 1u);
+    EXPECT_LE(size, 64u);
+  }
+  // A 1-wide pool still splits the batch, within the cap.
+  EXPECT_EQ(groups(5, 1), 2u);
+  EXPECT_EQ(groups(130, 1), 3u);
+  EXPECT_EQ(PGIndex::LockstepGroupSize(1000, 1), 64u);
+  // Degenerate inputs never yield an empty group.
+  EXPECT_EQ(PGIndex::LockstepGroupSize(0, 4), 1u);
+  EXPECT_EQ(groups(7, 0), 2u);
 }
 
 TEST_F(PGIndexTest, SearchBatchEmptyBatch) {

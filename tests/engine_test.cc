@@ -101,34 +101,41 @@ TEST_F(EngineTest, FindExpertsReturnsRankedAuthors) {
 }
 
 // The batched path fans queries across a pool but must return exactly
-// what the serial per-query path returns (same index walk, same ranking).
+// what the serial per-query path returns (same index walk, same ranking),
+// for a batch inside one lockstep group and for one of more than 64
+// texts, which splits into several groups searched concurrently and
+// ordered by destination.
 TEST_F(EngineTest, FindExpertsBatchMatchesSerial) {
   Shared& s = shared();
-  std::vector<std::string> texts;
-  for (const Query& q : s.queries.queries) texts.push_back(q.text);
-  ThreadPool pool(4);
-  std::vector<QueryStats> batch_stats;
-  const auto batched = s.engine->FindExpertsBatch(texts, 8, &batch_stats,
-                                                  &pool);
-  ASSERT_EQ(batched.size(), texts.size());
-  ASSERT_EQ(batch_stats.size(), texts.size());
-  for (size_t q = 0; q < texts.size(); ++q) {
-    QueryStats single_stats;
-    const auto single =
-        s.engine->FindExpertsWithStats(texts[q], 8, &single_stats);
-    ASSERT_EQ(batched[q].size(), single.size()) << "query " << q;
-    for (size_t i = 0; i < single.size(); ++i) {
-      EXPECT_EQ(batched[q][i].author, single[i].author)
-          << "query " << q << " rank " << i;
-      EXPECT_DOUBLE_EQ(batched[q][i].score, single[i].score)
-          << "query " << q << " rank " << i;
+  const QuerySet& few = s.queries;
+  const QuerySet many = GenerateQueries(s.dataset, 100, 29);
+  for (const QuerySet* set : {&few, &many}) {
+    std::vector<std::string> texts;
+    for (const Query& q : set->queries) texts.push_back(q.text);
+    ThreadPool pool(4);
+    std::vector<QueryStats> batch_stats;
+    const auto batched = s.engine->FindExpertsBatch(texts, 8, &batch_stats,
+                                                    &pool);
+    ASSERT_EQ(batched.size(), texts.size());
+    ASSERT_EQ(batch_stats.size(), texts.size());
+    for (size_t q = 0; q < texts.size(); ++q) {
+      QueryStats single_stats;
+      const auto single =
+          s.engine->FindExpertsWithStats(texts[q], 8, &single_stats);
+      ASSERT_EQ(batched[q].size(), single.size()) << "query " << q;
+      for (size_t i = 0; i < single.size(); ++i) {
+        EXPECT_EQ(batched[q][i].author, single[i].author)
+            << "query " << q << " rank " << i;
+        EXPECT_DOUBLE_EQ(batched[q][i].score, single[i].score)
+            << "query " << q << " rank " << i;
+      }
+      EXPECT_EQ(batch_stats[q].distance_computations,
+                single_stats.distance_computations);
+      EXPECT_EQ(batch_stats[q].ranking_entries_accessed,
+                single_stats.ranking_entries_accessed);
+      EXPECT_EQ(batch_stats[q].ta_early_terminated,
+                single_stats.ta_early_terminated);
     }
-    EXPECT_EQ(batch_stats[q].distance_computations,
-              single_stats.distance_computations);
-    EXPECT_EQ(batch_stats[q].ranking_entries_accessed,
-              single_stats.ranking_entries_accessed);
-    EXPECT_EQ(batch_stats[q].ta_early_terminated,
-              single_stats.ta_early_terminated);
   }
 }
 
