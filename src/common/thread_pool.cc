@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <utility>
@@ -53,10 +55,16 @@ void TaskGroup::Wait() {
 
 // --- ThreadPool.
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
+size_t UsableCpuCount() {
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return static_cast<size_t>(std::max(1, CPU_COUNT(&mask)));
   }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+ThreadPool::ThreadPool(size_t num_threads) {
+  if (num_threads == 0) num_threads = UsableCpuCount();
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

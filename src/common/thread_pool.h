@@ -79,10 +79,16 @@ class TaskGroup {
   std::exception_ptr first_exception_;
 };
 
+/// CPUs the calling thread may run on: the size of its affinity mask, so
+/// a process pinned with taskset sizes its pools to fit. Falls back to
+/// std::thread::hardware_concurrency() if the mask cannot be read; min 1.
+/// A cgroup CPU quota is not counted.
+size_t UsableCpuCount();
+
 /// A fixed pool of worker threads executing submitted tasks FIFO.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (0 = hardware concurrency, min 1).
+  /// Spawns `num_threads` workers (0 = UsableCpuCount()).
   explicit ThreadPool(size_t num_threads = 0);
   ~ThreadPool();
 
@@ -101,7 +107,7 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Process-wide default pool, sized to the hardware. Created on first
+  /// Process-wide default pool, UsableCpuCount() wide. Created on first
   /// use and intentionally leaked (threads run for the process lifetime).
   static ThreadPool& Default();
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -241,9 +240,7 @@ TrainStats TripletTrainer::Train(const std::vector<Triple>& triples,
   Adam adam(token_params + proj_params + d, config.adam, &kernel);
 
   size_t workers =
-      config.num_threads != 0
-          ? config.num_threads
-          : std::max<size_t>(1, std::thread::hardware_concurrency());
+      config.num_threads != 0 ? config.num_threads : UsableCpuCount();
   workers = std::max<size_t>(1, std::min(workers, triples.size()));
   bool deterministic = config.deterministic || workers <= 1;
 #ifdef KPEF_TSAN_BUILD

@@ -49,7 +49,7 @@ struct TrainerConfig {
   /// Also fine-tune the token embedding table (Θ_B); disabling restricts
   /// training to the projection head.
   bool train_token_embeddings = true;
-  /// Worker threads for the training loop (0 = hardware concurrency).
+  /// Worker threads for the training loop (0 = UsableCpuCount()).
   /// 1 keeps the classic serial loop (trivially deterministic).
   size_t num_threads = 1;
   /// Force the deterministic chunked schedule even with multiple

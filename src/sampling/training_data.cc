@@ -74,37 +74,29 @@ SamplingResult TrainingDataGenerator::Generate(
   // materialization entirely — the finder path produces the same triples,
   // just slower.
   std::vector<HomogeneousProjection> projections;
-  bool use_projection = config.use_projection;
+  Timer build_timer;
+  size_t used_bytes = 0;
+  for (const MetaPath& path : paths_) {
+    ProjectionOptions options;
+    options.pool = &pool;
+    if (config.projection_budget_bytes > 0) {
+      if (used_bytes >= config.projection_budget_bytes) break;
+      options.max_bytes = config.projection_budget_bytes - used_bytes;
+    }
+    std::optional<HomogeneousProjection> projection =
+        TryProjectHomogeneous(*graph_, path, options);
+    if (!projection.has_value()) break;
+    used_bytes += projection->MemoryUsageBytes();
+    projections.push_back(*std::move(projection));
+  }
+  result.projection_build_seconds = build_timer.ElapsedSeconds();
+  const bool use_projection = projections.size() == paths_.size();
   if (use_projection) {
-    Timer build_timer;
-    size_t used_bytes = 0;
-    for (const MetaPath& path : paths_) {
-      ProjectionOptions options;
-      options.pool = &pool;
-      if (config.projection_budget_bytes > 0) {
-        if (used_bytes >= config.projection_budget_bytes) {
-          use_projection = false;
-          break;
-        }
-        options.max_bytes = config.projection_budget_bytes - used_bytes;
-      }
-      std::optional<HomogeneousProjection> projection =
-          TryProjectHomogeneous(*graph_, path, options);
-      if (!projection.has_value()) {
-        use_projection = false;
-        break;
-      }
-      used_bytes += projection->MemoryUsageBytes();
-      projections.push_back(*std::move(projection));
-    }
-    result.projection_build_seconds = build_timer.ElapsedSeconds();
-    if (use_projection) {
-      result.projection_bytes = used_bytes;
-    } else {
-      projections.clear();
-      KPEF_LOG(Info) << "projection budget exceeded; falling back to "
-                        "finder-backed sampling";
-    }
+    result.projection_bytes = used_bytes;
+  } else {
+    projections.clear();
+    KPEF_LOG(Info) << "projection budget exceeded; falling back to "
+                      "finder-backed sampling";
   }
   result.used_projection = use_projection;
 

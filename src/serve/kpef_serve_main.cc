@@ -25,7 +25,7 @@
 // generation with zero downtime, and --reload-watch S polls the model
 // dir every S seconds and reloads automatically when an artifact file's
 // mtime changes. --threads N sizes the serving pool the micro-batcher
-// fans SearchBatch over (0 = hardware concurrency).
+// fans SearchBatch over (0 = every CPU the process may use).
 //
 // SIGTERM/SIGINT drain gracefully: stop accepting, flush queued batches,
 // answer in-flight requests, then exit 0.

@@ -209,25 +209,30 @@ TEST_F(KPCoreFigure2Test, MultiPathIntersectionIsSubset) {
 // --- Theorem 1 property test over generated datasets: the strict cores of
 // the naive decomposition, FastBCore, and Algorithm 1 coincide for every
 // (seed, k, meta-path).
+//
+// Cases are listed by value ("P-A-P k=2"). The default print of a case is
+// a byte dump that shows the address of the path literal, which moves
+// with the load address and the binary's layout; a value print keeps the
+// listed test names stable.
 struct TheoremCase {
   const char* path;
   int32_t k;
 };
 
-// Same fields as TheoremCase, but listed by value ("P-A-P k=2"). The
-// default print of a case is a byte dump, which shows the address of the
-// path literal; that moves with the load address and the binary's layout,
-// so the listed names of these tests changed from run to run.
-struct Theorem1Case {
-  const char* path;
-  int32_t k;
-};
-
-void PrintTo(const Theorem1Case& c, std::ostream* os) {
+void PrintTo(const TheoremCase& c, std::ostream* os) {
   *os << c.path << " k=" << c.k;
 }
 
-class Theorem1Test : public ::testing::TestWithParam<Theorem1Case> {
+std::string TheoremCaseName(
+    const ::testing::TestParamInfo<TheoremCase>& info) {
+  std::string name = info.param.path;
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name + "_k" + std::to_string(info.param.k);
+}
+
+class Theorem1Test : public ::testing::TestWithParam<TheoremCase> {
  protected:
   static const Dataset& dataset() {
     static const Dataset* d = new Dataset(GenerateDataset(TinyProfile()));
@@ -237,7 +242,7 @@ class Theorem1Test : public ::testing::TestWithParam<Theorem1Case> {
 
 TEST_P(Theorem1Test, AllThreeAlgorithmsAgree) {
   const Dataset& data = dataset();
-  const Theorem1Case param = GetParam();
+  const TheoremCase param = GetParam();
   auto path = MetaPath::Parse(data.graph.schema(), param.path);
   ASSERT_TRUE(path.ok());
   const HomogeneousProjection projection =
@@ -258,18 +263,12 @@ TEST_P(Theorem1Test, AllThreeAlgorithmsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     SweepsPathsAndK, Theorem1Test,
-    ::testing::Values(Theorem1Case{"P-A-P", 2}, Theorem1Case{"P-A-P", 3},
-                      Theorem1Case{"P-A-P", 4}, Theorem1Case{"P-A-P", 6},
-                      Theorem1Case{"P-P", 1}, Theorem1Case{"P-P", 2},
-                      Theorem1Case{"P-P", 3}, Theorem1Case{"P-T-P", 4},
-                      Theorem1Case{"P-T-P", 8}),
-    [](const ::testing::TestParamInfo<Theorem1Case>& info) {
-      std::string name = info.param.path;
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name + "_k" + std::to_string(info.param.k);
-    });
+    ::testing::Values(TheoremCase{"P-A-P", 2}, TheoremCase{"P-A-P", 3},
+                      TheoremCase{"P-A-P", 4}, TheoremCase{"P-A-P", 6},
+                      TheoremCase{"P-P", 1}, TheoremCase{"P-P", 2},
+                      TheoremCase{"P-P", 3}, TheoremCase{"P-T-P", 4},
+                      TheoremCase{"P-T-P", 8}),
+    TheoremCaseName);
 
 // --- Backend equivalence: searches over a materialized CSR projection
 // must be bit-identical to the finder-backed path — core, extension,
@@ -323,13 +322,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(TheoremCase{"P-A-P", 2}, TheoremCase{"P-A-P", 4},
                       TheoremCase{"P-P", 2}, TheoremCase{"P-T-P", 4},
                       TheoremCase{"P-V-P", 3}),
-    [](const ::testing::TestParamInfo<TheoremCase>& info) {
-      std::string name = info.param.path;
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name + "_k" + std::to_string(info.param.k);
-    });
+    TheoremCaseName);
 
 TEST(BackendEquivalenceMultiPathTest, ProjectionOverloadMatchesFinder) {
   const Figure2Graph g = Figure2Graph::Make();

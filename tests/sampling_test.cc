@@ -221,7 +221,8 @@ TEST_F(SamplingTest, ByteIdenticalAcrossThreadCounts) {
 
 TEST_F(SamplingTest, ProjectionAndFinderBackendsAgree) {
   // Both backends read neighbors in the same canonical order, so the
-  // sampled triples must match exactly — including the no-core mode.
+  // sampled triples must match exactly — including the no-core mode. A
+  // one-byte projection budget forces the finder backend.
   TrainingDataGenerator generator(dataset_.graph, paths_, dataset_.ids.paper);
   for (bool use_core : {true, false}) {
     SamplingConfig with_projection;
@@ -229,7 +230,7 @@ TEST_F(SamplingTest, ProjectionAndFinderBackendsAgree) {
     with_projection.seed_fraction = 0.3;
     with_projection.use_core = use_core;
     SamplingConfig with_finder = with_projection;
-    with_finder.use_projection = false;
+    with_finder.projection_budget_bytes = 1;
     const SamplingResult a = generator.Generate(with_projection);
     const SamplingResult b = generator.Generate(with_finder);
     EXPECT_TRUE(a.used_projection);

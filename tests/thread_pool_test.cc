@@ -1,3 +1,5 @@
+#include <sched.h>
+
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -22,6 +24,23 @@ TEST(ThreadPoolTest, RunsSubmittedTasks) {
   }
   pool.Wait();
   EXPECT_EQ(counter.load(), 50);
+}
+
+TEST(ThreadPoolTest, DefaultWidthFollowsCpuAffinity) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  if (CPU_COUNT(&saved) < 2) GTEST_SKIP() << "only one CPU allowed";
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const size_t pinned_width = ThreadPool(0).num_threads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned_width, 1u);
+  EXPECT_EQ(ThreadPool(0).num_threads(),
+            static_cast<size_t>(CPU_COUNT(&saved)));
 }
 
 TEST(ThreadPoolTest, WaitOnIdlePoolReturnsImmediately) {
